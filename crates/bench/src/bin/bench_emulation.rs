@@ -158,7 +158,7 @@ fn replay(cost: &mut CostFn, base: &[Instruction], schedule: &[Edit], sink: &mut
     cost.commit_baseline(&PreparedProgram::new(&current), 0);
     for edit in schedule {
         candidate.clone_from(&current);
-        candidate[edit.slot] = edit.instr.clone();
+        candidate[edit.slot] = edit.instr;
         cost.set_reuse_prefix(Some(edit.slot));
         *sink = sink.wrapping_add(cost.eq_prime(&candidate));
         if edit.accept {

@@ -175,6 +175,13 @@ pub enum StokeError {
         /// [`Verification::TestsOnly`](crate::search::Verification::TestsOnly).
         partial: Box<StokeResult>,
     },
+    /// The run panicked (for example inside a custom cost model, verifier
+    /// or observer). Reported by the serving layer, which catches the
+    /// panic so that it fails the one job only.
+    Panicked {
+        /// The panic message, when the payload was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for StokeError {
@@ -186,6 +193,7 @@ impl fmt::Display for StokeError {
             StokeError::BudgetExhausted { .. } => {
                 write!(f, "search budget exhausted before the pipeline completed")
             }
+            StokeError::Panicked { message } => write!(f, "the run panicked: {message}"),
         }
     }
 }

@@ -2,7 +2,7 @@
 //! §4.3 (opcode, operand, swap, instruction), and the Metropolis–Hastings
 //! chain with the early-termination acceptance computation of §4.5.
 
-use crate::config::Config;
+use crate::config::{BackendSpec, Config};
 use crate::cost::CostFn;
 use crate::driver::ChainControl;
 use crate::model::{Cost, CostModel};
@@ -13,6 +13,7 @@ use rand::{Rng, SeedableRng};
 use stoke_emu::PreparedProgram;
 use stoke_x86::{
     Instruction, Mem, OpcodeClasses, Operand, OperandKind, Program, Scale, SlotSpec, Width,
+    MAX_OPERANDS,
 };
 
 /// A candidate rewrite: a fixed number ℓ of instruction slots, each either
@@ -41,7 +42,7 @@ impl Rewrite {
     /// the chain optimize a *different* program than the target, and
     /// silently at that.
     pub fn from_program(program: &Program, ell: usize) -> Rewrite {
-        let mut slots: Vec<Option<Instruction>> = program.iter().cloned().map(Some).collect();
+        let mut slots: Vec<Option<Instruction>> = program.iter().copied().map(Some).collect();
         slots.resize(ell.max(slots.len()), None);
         Rewrite { slots }
     }
@@ -68,12 +69,12 @@ impl Rewrite {
 
     /// The dense program obtained by dropping `UNUSED` slots.
     pub fn to_program(&self) -> Program {
-        self.slots.iter().flatten().cloned().collect()
+        self.slots.iter().flatten().copied().collect()
     }
 
     /// The dense instruction sequence (borrowed clone).
     pub fn instructions(&self) -> Vec<Instruction> {
-        self.slots.iter().flatten().cloned().collect()
+        self.slots.iter().flatten().copied().collect()
     }
 
     /// Decode the dense instruction sequence (skipping `UNUSED` slots)
@@ -295,20 +296,18 @@ impl Proposer {
     /// distribution used when undoing the move (register-preferred).
     fn random_operand_for_slot(&mut self, spec: &SlotSpec) -> Operand {
         // Collect the admissible kinds and pick one uniformly.
-        let mut kinds: Vec<u8> = Vec::new();
-        if spec.reg.is_some() {
-            kinds.push(0);
+        let mut kinds = [0u8; 4];
+        let mut n = 0;
+        for (kind, admissible) in [spec.reg.is_some(), spec.imm, spec.mem, spec.xmm]
+            .into_iter()
+            .enumerate()
+        {
+            if admissible {
+                kinds[n] = kind as u8;
+                n += 1;
+            }
         }
-        if spec.imm {
-            kinds.push(1);
-        }
-        if spec.mem {
-            kinds.push(2);
-        }
-        if spec.xmm {
-            kinds.push(3);
-        }
-        match kinds.choose(&mut self.rng) {
+        match kinds[..n].choose(&mut self.rng) {
             Some(0) => self.random_reg(spec.reg.expect("checked")),
             Some(1) => self.random_imm(),
             Some(2) => self.random_mem(),
@@ -338,12 +337,12 @@ impl Proposer {
                 .choose(&mut self.rng)
                 .expect("non-empty opcode universe");
             let sig = opcode.signature();
-            let operands: Vec<Operand> = sig
-                .iter()
-                .map(|s| self.random_operand_for_slot(s))
-                .collect();
+            let mut operands = [Operand::Imm(0); MAX_OPERANDS];
+            for (operand, spec) in operands.iter_mut().zip(sig.iter()) {
+                *operand = self.random_operand_for_slot(spec);
+            }
             // Reject the rare invalid combination (two memory operands).
-            if let Ok(instr) = Instruction::new(opcode, operands) {
+            if let Ok(instr) = Instruction::new(opcode, &operands[..sig.len()]) {
                 return instr;
             }
         }
@@ -393,9 +392,7 @@ impl Proposer {
                         let new_operand = self.random_operand_same_kind(&instr.operands()[oi]);
                         let candidate = instr.with_operand(oi, new_operand);
                         // Keep the single-memory-operand invariant.
-                        if Instruction::new(candidate.opcode(), candidate.operands().to_vec())
-                            .is_ok()
-                        {
+                        if Instruction::new(candidate.opcode(), candidate.operands()).is_ok() {
                             next.slots[slot] = Some(candidate);
                             span = EditSpan::single(slot);
                         }
@@ -563,6 +560,16 @@ impl<'a> Chain<'a> {
             .score(&prepared, &mut self.cost_fn.eval_context())
     }
 
+    /// [`CostFn::commit_baseline`] for `rewrite`. Only the incremental
+    /// backend keeps a baseline, so for every other backend the rewrite
+    /// is not even prepared.
+    fn commit_baseline(&mut self, rewrite: &Rewrite, keep_prefix: usize) {
+        if self.cost_fn.config().backend == BackendSpec::Incremental {
+            let prepared = self.cost_fn.prepare_rewrite(rewrite.slots.iter().flatten());
+            self.cost_fn.commit_baseline(&prepared, keep_prefix);
+        }
+    }
+
     /// Run the chain for `iterations` proposals starting from `start`.
     pub fn run(&mut self, start: Rewrite, iterations: u64) -> ChainResult {
         self.run_controlled(start, iterations, &ChainControl::unbounded())
@@ -599,11 +606,8 @@ impl<'a> Chain<'a> {
         let mut stop = StopReason::Completed;
         let start_stats = self.cost_fn.stats;
         // Commit the starting rewrite as the incremental backend's
-        // checkpoint baseline (a no-op for every other backend).
-        {
-            let prepared = self.cost_fn.prepare_rewrite(current.slots.iter().flatten());
-            self.cost_fn.commit_baseline(&prepared, 0);
-        }
+        // checkpoint baseline.
+        self.commit_baseline(&current, 0);
 
         for iteration in 0..iterations {
             if !ctrl.admit_proposal() {
@@ -660,11 +664,8 @@ impl<'a> Chain<'a> {
                 accepted += 1;
                 // Re-anchor the incremental backend's checkpoints on the
                 // newly accepted rewrite, keeping the snapshots of the
-                // prefix the move did not touch (no-op otherwise).
-                {
-                    let prepared = self.cost_fn.prepare_rewrite(current.slots.iter().flatten());
-                    self.cost_fn.commit_baseline(&prepared, reuse_prefix);
-                }
+                // prefix the move did not touch.
+                self.commit_baseline(&current, reuse_prefix);
                 if current_cost < best_cost {
                     best = current.clone();
                     best_cost = current_cost;
@@ -779,7 +780,7 @@ mod tests {
             // Every filled slot must be a valid instruction.
             for slot in next.slots().iter().flatten() {
                 assert!(
-                    Instruction::new(slot.opcode(), slot.operands().to_vec()).is_ok(),
+                    Instruction::new(slot.opcode(), slot.operands()).is_ok(),
                     "invalid instruction proposed: {}",
                     slot
                 );

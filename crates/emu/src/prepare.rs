@@ -74,30 +74,38 @@ impl<'a> PreparedProgram<'a> {
     /// the per-proposal decode so that per-test-case execution does no
     /// analysis work and no allocation beyond the machine state itself).
     pub fn new(instrs: impl IntoIterator<Item = &'a Instruction>) -> PreparedProgram<'a> {
-        let instrs: Vec<&'a Instruction> = instrs.into_iter().collect();
+        let instrs = collect_instrs(instrs);
+        let n = instrs.len();
         let mut prepared = PreparedProgram {
-            gpr_uses: Vec::new(),
-            xmm_uses: Vec::new(),
-            flag_uses: Vec::new(),
-            spans: Vec::with_capacity(instrs.len()),
+            gpr_uses: Vec::with_capacity(GPR_USES_PER_INSTR * n),
+            xmm_uses: Vec::with_capacity(n),
+            flag_uses: Vec::with_capacity(FLAG_USES_PER_INSTR * n),
+            spans: Vec::with_capacity(n),
             latency: 0,
             instrs,
         };
-        for instr in &prepared.instrs {
-            let gpr_start = prepared.gpr_uses.len() as u32;
-            instr.gpr_uses_into(&mut prepared.gpr_uses);
-            let xmm_start = prepared.xmm_uses.len() as u32;
-            instr.xmm_uses_into(&mut prepared.xmm_uses);
-            let flag_start = prepared.flag_uses.len() as u32;
-            prepared.flag_uses.extend(instr.flag_uses());
-            prepared.spans.push(UseSpans {
-                gpr: (gpr_start, prepared.gpr_uses.len() as u32),
-                xmm: (xmm_start, prepared.xmm_uses.len() as u32),
-                flag: (flag_start, prepared.flag_uses.len() as u32),
-            });
-            prepared.latency += u64::from(instr.latency());
+        for i in 0..n {
+            prepared.decode(i);
         }
         prepared
+    }
+
+    /// Decode instruction `i` (appending its uses and span, and adding its
+    /// latency); every instruction before `i` must be decoded already.
+    fn decode(&mut self, i: usize) {
+        let instr = self.instrs[i];
+        let gpr_start = self.gpr_uses.len() as u32;
+        instr.gpr_uses_into(&mut self.gpr_uses);
+        let xmm_start = self.xmm_uses.len() as u32;
+        instr.xmm_uses_into(&mut self.xmm_uses);
+        let flag_start = self.flag_uses.len() as u32;
+        self.flag_uses.extend(instr.flag_uses());
+        self.spans.push(UseSpans {
+            gpr: (gpr_start, self.gpr_uses.len() as u32),
+            xmm: (xmm_start, self.xmm_uses.len() as u32),
+            flag: (flag_start, self.flag_uses.len() as u32),
+        });
+        self.latency += u64::from(instr.latency());
     }
 
     /// Prepare a whole [`Program`].
@@ -120,7 +128,7 @@ impl<'a> PreparedProgram<'a> {
         instrs: impl IntoIterator<Item = &'a Instruction>,
         meta: &PreparedMeta,
     ) -> PreparedProgram<'a> {
-        let instrs: Vec<&'a Instruction> = instrs.into_iter().collect();
+        let instrs = collect_instrs(instrs);
         let (new_len, old_len) = (instrs.len(), meta.instrs.len());
         let max = new_len.min(old_len);
         let mut prefix = 0;
@@ -140,29 +148,29 @@ impl<'a> PreparedProgram<'a> {
         } else {
             meta.spans[prefix - 1]
         };
+        // Sized for the whole stored program plus the decoded middle, so
+        // the prefix copy, the middle and the suffix copy fill them
+        // without regrowing.
+        let middle = new_len - suffix - prefix;
         let mut prepared = PreparedProgram {
-            gpr_uses: meta.gpr_uses[..pend.gpr.1 as usize].to_vec(),
-            xmm_uses: meta.xmm_uses[..pend.xmm.1 as usize].to_vec(),
-            flag_uses: meta.flag_uses[..pend.flag.1 as usize].to_vec(),
-            spans: meta.spans[..prefix].to_vec(),
+            gpr_uses: prefix_with_room(
+                &meta.gpr_uses,
+                pend.gpr.1 as usize,
+                GPR_USES_PER_INSTR * middle,
+            ),
+            xmm_uses: prefix_with_room(&meta.xmm_uses, pend.xmm.1 as usize, middle),
+            flag_uses: prefix_with_room(
+                &meta.flag_uses,
+                pend.flag.1 as usize,
+                FLAG_USES_PER_INSTR * middle,
+            ),
+            spans: prefix_with_room(&meta.spans, prefix, middle),
             latency: meta.lat[..prefix].iter().map(|&l| u64::from(l)).sum(),
             instrs,
         };
         // Middle: decode exactly as `new` does.
         for i in prefix..new_len - suffix {
-            let instr = prepared.instrs[i];
-            let gpr_start = prepared.gpr_uses.len() as u32;
-            instr.gpr_uses_into(&mut prepared.gpr_uses);
-            let xmm_start = prepared.xmm_uses.len() as u32;
-            instr.xmm_uses_into(&mut prepared.xmm_uses);
-            let flag_start = prepared.flag_uses.len() as u32;
-            prepared.flag_uses.extend(instr.flag_uses());
-            prepared.spans.push(UseSpans {
-                gpr: (gpr_start, prepared.gpr_uses.len() as u32),
-                xmm: (xmm_start, prepared.xmm_uses.len() as u32),
-                flag: (flag_start, prepared.flag_uses.len() as u32),
-            });
-            prepared.latency += u64::from(instr.latency());
+            prepared.decode(i);
         }
         // Suffix: the stored flat use lists again, with every span rebased
         // onto this program's offsets.
@@ -280,6 +288,34 @@ impl<'a> PreparedProgram<'a> {
     }
 }
 
+/// Initial capacity of the flat GPR use list per instruction: an explicit
+/// source, a read destination and an address register or implicit use
+/// cover almost every instruction, so the list rarely regrows.
+const GPR_USES_PER_INSTR: usize = 3;
+
+/// Initial capacity of the flat flag use list per instruction (a
+/// condition reads up to three flags, most instructions none).
+const FLAG_USES_PER_INSTR: usize = 2;
+
+/// Collect the borrowed instructions into a vector sized by the iterator's
+/// upper bound when it has one (a rewrite's flattened slots report ℓ), so
+/// collecting does not regrow.
+fn collect_instrs<'a>(instrs: impl IntoIterator<Item = &'a Instruction>) -> Vec<&'a Instruction> {
+    let iter = instrs.into_iter();
+    let (lower, upper) = iter.size_hint();
+    let mut v = Vec::with_capacity(upper.unwrap_or(lower));
+    v.extend(iter);
+    v
+}
+
+/// `stored[..end]` in a vector with room for all of `stored` plus `extra`
+/// more elements.
+fn prefix_with_room<T: Copy>(stored: &[T], end: usize, extra: usize) -> Vec<T> {
+    let mut v = Vec::with_capacity(stored.len() + extra);
+    v.extend_from_slice(&stored[..end]);
+    v
+}
+
 /// An owned copy of one prepared program — its instructions and decoded
 /// metadata (flat use lists, spans, per-instruction latencies) — kept
 /// across proposals so [`PreparedProgram::new_diffed`] can decode only the
@@ -306,8 +342,7 @@ impl PreparedMeta {
     /// (reusing allocations).
     pub fn store(&mut self, prepared: &PreparedProgram<'_>) {
         self.instrs.clear();
-        self.instrs
-            .extend(prepared.instrs.iter().map(|&i| i.clone()));
+        self.instrs.extend(prepared.instrs.iter().map(|&i| *i));
         self.gpr_uses.clone_from(&prepared.gpr_uses);
         self.xmm_uses.clone_from(&prepared.xmm_uses);
         self.flag_uses.clone_from(&prepared.flag_uses);

@@ -6,8 +6,10 @@
 
 use crate::cache::{CacheConfig, CacheStats, RewriteCache};
 use crate::key::{CacheKey, PipelineFingerprint};
+use std::any::Any;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -177,7 +179,8 @@ pub enum JobEvent {
         /// Where its result came from.
         disposition: Disposition,
     },
-    /// The job's run returned an error (including budget exhaustion).
+    /// The job's run returned an error (including budget exhaustion) or
+    /// panicked ([`StokeError::Panicked`]).
     Failed {
         /// The job.
         job: JobId,
@@ -196,7 +199,8 @@ pub struct ServiceStats {
     pub submitted: u64,
     /// Jobs that completed with `Ok`.
     pub completed: u64,
-    /// Jobs whose run returned an error (budget exhaustion included).
+    /// Jobs whose run returned an error (budget exhaustion and panics
+    /// included).
     pub failed: u64,
     /// Jobs cancelled before running.
     pub cancelled: u64,
@@ -276,9 +280,10 @@ pub struct ServeConfig {
     /// default cascade). Its name is part of the pipeline fingerprint.
     pub verifier: Option<Arc<dyn Verifier>>,
     /// Optional metrics registry. When set, the service records queue
-    /// depth, job latency histograms, and cache hit/miss/warm-start
-    /// counters under the `stoke_serve_*` families, and every job's
-    /// session records its search metrics into the same registry.
+    /// depth, job latency histograms, job outcome and panic counters, and
+    /// cache hit/miss/warm-start counters under the `stoke_serve_*`
+    /// families, and every job's session records its search metrics into
+    /// the same registry.
     pub metrics: Option<Arc<MetricsRegistry>>,
     /// Optional structured trace sink receiving job lifecycle events and
     /// every job session's span/event records.
@@ -313,6 +318,7 @@ struct ServeMetrics {
     submitted: Counter,
     completed: Counter,
     failed: Counter,
+    panics: Counter,
     cancelled: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
@@ -330,6 +336,7 @@ impl ServeMetrics {
             submitted: registry.counter("stoke_serve_jobs_submitted_total"),
             completed: registry.counter("stoke_serve_jobs_completed_total"),
             failed: registry.counter("stoke_serve_jobs_failed_total"),
+            panics: registry.counter("stoke_serve_job_panics_total"),
             cancelled: registry.counter("stoke_serve_jobs_cancelled_total"),
             cache_hits: registry.counter("stoke_serve_cache_hits_total"),
             cache_misses: registry.counter("stoke_serve_cache_misses_total"),
@@ -777,11 +784,64 @@ fn worker_loop(shared: Arc<Shared>) {
                 q = shared.work.wait(q).expect("queue lock");
             }
         };
-        run_job(&shared, job);
+        let (id, submitted) = (job.id, job.submitted);
+        let picked = Instant::now();
+        // A panic anywhere in the job (a custom cost model, verifier or
+        // observer included) fails that job alone: the worker records the
+        // failure and moves on to the next job.
+        let mut route = Disposition::ColdSearch;
+        let run = panic::catch_unwind(AssertUnwindSafe(|| run_job(&shared, job, &mut route)));
+        if let Err(payload) = run {
+            fail_panicked(
+                &shared,
+                id,
+                route,
+                payload.as_ref(),
+                picked - submitted,
+                picked,
+            );
+        }
     }
 }
 
-fn run_job(shared: &Arc<Shared>, job: PendingJob) {
+/// Record a job whose run panicked as failed with
+/// [`StokeError::Panicked`], unless it had already completed.
+fn fail_panicked(
+    shared: &Arc<Shared>,
+    id: JobId,
+    route: Disposition,
+    payload: &(dyn Any + Send),
+    queue_time: Duration,
+    picked: Instant,
+) {
+    if let Some(m) = &shared.metrics {
+        m.panics.inc();
+    }
+    let done = {
+        let q = shared.queue.lock().expect("queue lock");
+        q.jobs.get(&id).is_some_and(|r| r.status == JobStatus::Done)
+    };
+    if done {
+        return;
+    }
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    complete(
+        shared,
+        id,
+        route,
+        Err(StokeError::Panicked { message }),
+        queue_time,
+        picked.elapsed(),
+    );
+}
+
+/// Run one job to completion. `route` is kept up to date with the path
+/// the job takes, so a panic can be recorded against it.
+fn run_job(shared: &Arc<Shared>, job: PendingJob, route: &mut Disposition) {
     let PendingJob {
         id,
         spec,
@@ -822,6 +882,7 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
     // 1. Exact canonical hit: serve without searching.
     let exact = shared.cache.lock().expect("cache lock").lookup(&key);
     if let Some(hit) = exact {
+        *route = Disposition::CacheHit;
         let rewrite = key.renaming().inverse().apply_program(&hit.rewrite);
         let result = StokeResult {
             target_latency: spec.program.static_latency(),
@@ -864,6 +925,9 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
         )
     });
     if let Some((_, distance)) = &warm {
+        *route = Disposition::WarmStart {
+            distance: *distance,
+        };
         shared.emit(JobEvent::WarmStart {
             job: id,
             distance: *distance,
@@ -904,18 +968,7 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
             found.verification.clone(),
         );
     }
-    let disposition = match warm {
-        Some((_, distance)) => Disposition::WarmStart { distance },
-        None => Disposition::ColdSearch,
-    };
-    complete(
-        shared,
-        id,
-        disposition,
-        result,
-        queue_time,
-        started.elapsed(),
-    );
+    complete(shared, id, *route, result, queue_time, started.elapsed());
 }
 
 fn complete(

@@ -396,3 +396,89 @@ fn metrics_and_trace_cover_the_job_lifecycle() {
     }
     assert_eq!(ring.dropped(), 0);
 }
+
+/// A job whose cost model panics fails alone: `wait` returns its failed
+/// outcome, the panic is counted, and the single worker survives to run
+/// the next job to completion.
+#[test]
+fn panicking_job_fails_alone_and_the_worker_survives() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use stoke::{CostModel, CostModelFactory, CostModelSpec, EvalContext, PaperCost};
+    use stoke_emu::PreparedProgram;
+    use stoke_obs::MetricsRegistry;
+
+    /// The paper's model, except that the first evaluation after arming
+    /// panics.
+    struct Tripwire(Arc<AtomicBool>);
+
+    impl Tripwire {
+        fn trip(&self) {
+            if self.0.swap(false, Ordering::SeqCst) {
+                panic!("tripwire cost model");
+            }
+        }
+    }
+
+    impl CostModel for Tripwire {
+        fn perf_term(&mut self, rewrite: &PreparedProgram<'_>, ctx: &mut EvalContext<'_>) -> f64 {
+            self.trip();
+            PaperCost.perf_term(rewrite, ctx)
+        }
+
+        fn correctness_term(
+            &mut self,
+            rewrite: &PreparedProgram<'_>,
+            bound: Option<f64>,
+            ctx: &mut EvalContext<'_>,
+        ) -> Option<f64> {
+            self.trip();
+            PaperCost.correctness_term(rewrite, bound, ctx)
+        }
+    }
+
+    struct TripwireFactory(Arc<AtomicBool>);
+
+    impl CostModelFactory for TripwireFactory {
+        fn optimization_model(&self) -> Box<dyn CostModel> {
+            Box::new(Tripwire(self.0.clone()))
+        }
+    }
+
+    let armed = Arc::new(AtomicBool::new(true));
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut config = ServeConfig::new(Config {
+        cost_model: CostModelSpec::Custom(Arc::new(TripwireFactory(armed.clone()))),
+        ..quick_config()
+    });
+    config.workers = 1;
+    config.metrics = Some(registry.clone());
+    let service = Service::start(config).unwrap();
+
+    let events = service.subscribe();
+    let doomed = service.submit(clumsy_add());
+    let outcome = service.wait(doomed).unwrap();
+    match outcome.result {
+        Err(StokeError::Panicked { ref message }) => {
+            assert!(message.contains("tripwire"), "{message}")
+        }
+        ref other => panic!("expected a panicked job, got {other:?}"),
+    }
+    assert_eq!(service.status(doomed), Some(JobStatus::Done));
+    assert!(!armed.load(Ordering::SeqCst), "the model did panic");
+    let failed = std::iter::from_fn(|| events.recv_timeout(Duration::from_secs(5)).ok())
+        .any(|e| e == JobEvent::Failed { job: doomed });
+    assert!(failed, "a Failed event was emitted for the panicked job");
+
+    // The same (only) worker runs the next job normally.
+    let next = service.submit(clumsy_add());
+    assert!(service.wait(next).unwrap().result.is_ok());
+    let stats = service.stats();
+    assert_eq!((stats.failed, stats.completed), (1, 1));
+    service.shutdown().unwrap();
+
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("stoke_serve_job_panics_total"), 1);
+    assert_eq!(snap.counter("stoke_serve_jobs_failed_total"), 1);
+    assert_eq!(snap.counter("stoke_serve_jobs_completed_total"), 1);
+}

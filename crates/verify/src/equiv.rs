@@ -10,7 +10,7 @@
 
 use crate::semantics::SymExecutor;
 use crate::symstate::SymState;
-use stoke_solver::{check, CheckResult, TermId, TermPool};
+use stoke_solver::{CheckResult, Checker, TermId, TermPool};
 use stoke_x86::flow::LocSet;
 use stoke_x86::{Flag, Gpr, Opcode, Program, Xmm};
 
@@ -55,7 +55,9 @@ pub struct ValidationStats {
     pub terms: usize,
     /// Number of SAT variables in the blasted query.
     pub sat_vars: usize,
-    /// Number of CNF clauses in the blasted query.
+    /// Number of CNF clauses the SAT solver held when the query was
+    /// decided: the blasted query, its Ackermann constraints, and the
+    /// clauses learnt while solving.
     pub clauses: usize,
 }
 
@@ -151,13 +153,13 @@ impl Validator {
 
         let some_difference = pool.bool_or(&differences);
         let stats_terms = pool.len();
-        let result = check(&pool, &[some_difference]);
+        let mut checker = Checker::new();
+        checker.assert_true(&pool, some_difference);
+        let result = checker.check(&pool);
         let stats = ValidationStats {
             terms: stats_terms,
-            // The convenience `check` entry point hides the checker, so the
-            // SAT statistics are only approximate (terms dominate anyway).
-            sat_vars: 0,
-            clauses: 0,
+            sat_vars: checker.num_sat_vars(),
+            clauses: checker.num_clauses(),
         };
         match result {
             CheckResult::Unsat => (EquivResult::Equivalent, stats),
@@ -203,6 +205,23 @@ mod tests {
             &[Gpr::Rax],
         );
         assert!(res.is_equivalent());
+    }
+
+    #[test]
+    fn stats_report_the_blasted_query_size() {
+        // x ^ y == (x | y) - (x & y): the term pool cannot fold this, so
+        // the query reaches the SAT solver.
+        let t: Program = "movq rdi, rax\nxorq rsi, rax".parse().unwrap();
+        let r: Program = "movq rdi, rax\norq rsi, rax\nmovq rdi, rcx\nandq rsi, rcx\nsubq rcx, rax"
+            .parse()
+            .unwrap();
+        let (res, stats) = Validator::new(live(&[Gpr::Rax])).prove(&t, &r);
+        assert!(res.is_equivalent());
+        assert!(stats.terms > 0);
+        // Two 64-bit inputs and a subtractor: at least one SAT variable per
+        // input bit, and more clauses than variables.
+        assert!(stats.sat_vars >= 128, "{stats:?}");
+        assert!(stats.clauses > stats.sat_vars, "{stats:?}");
     }
 
     #[test]

@@ -84,13 +84,8 @@ impl Renaming {
 
     /// Apply the renaming to one instruction.
     pub fn apply_instruction(&self, instr: &Instruction) -> Instruction {
-        let operands = instr
-            .operands()
-            .iter()
-            .map(|op| self.apply_operand(op))
-            .collect();
         // Operand kinds and widths are unchanged, so validity is preserved.
-        Instruction::new_unchecked(instr.opcode(), operands)
+        instr.map_operands(|op| self.apply_operand(op))
     }
 
     /// Apply the renaming to every instruction of a program.
@@ -212,15 +207,10 @@ pub fn normalize_immediates(program: &Program) -> Program {
                     _ => None,
                 }
             };
-            let operands = instr
-                .operands()
-                .iter()
-                .map(|op| match op {
-                    Operand::Imm(v) => Operand::Imm(norm(*v).unwrap_or(*v)),
-                    other => *other,
-                })
-                .collect();
-            Instruction::new_unchecked(instr.opcode(), operands)
+            instr.map_operands(|op| match op {
+                Operand::Imm(v) => Operand::Imm(norm(*v).unwrap_or(*v)),
+                other => *other,
+            })
         })
         .collect()
 }

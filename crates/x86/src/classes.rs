@@ -11,8 +11,12 @@
 
 use crate::instr::Instruction;
 use crate::opcode::Opcode;
-use crate::operand::{Operand, OperandKind};
+use crate::operand::{OperandKind, MAX_OPERANDS};
 use std::collections::HashMap;
+
+/// A concrete operand-kind signature as a fixed-size key: the kinds of the
+/// used slots, then `None`s.
+type KindsKey = [Option<OperandKind>; MAX_OPERANDS];
 
 /// Precomputed opcode equivalence classes keyed by the concrete operand
 /// kinds of an instruction.
@@ -22,7 +26,7 @@ pub struct OpcodeClasses {
     universe: Vec<Opcode>,
     /// Map from a concrete operand-kind signature to the opcodes that
     /// accept it.
-    by_signature: HashMap<Vec<OperandKind>, Vec<Opcode>>,
+    by_signature: HashMap<KindsKey, Vec<Opcode>>,
 }
 
 impl OpcodeClasses {
@@ -48,24 +52,33 @@ impl OpcodeClasses {
 
     /// The opcodes that accept exactly the given concrete operand kinds.
     pub fn class_for_kinds(&mut self, kinds: &[OperandKind]) -> &[Opcode] {
-        if !self.by_signature.contains_key(kinds) {
-            let class: Vec<Opcode> = self
-                .universe
+        if kinds.len() > MAX_OPERANDS {
+            return &[];
+        }
+        let mut key: KindsKey = [None; MAX_OPERANDS];
+        for (k, kind) in key.iter_mut().zip(kinds) {
+            *k = Some(*kind);
+        }
+        let universe = &self.universe;
+        self.by_signature.entry(key).or_insert_with(|| {
+            universe
                 .iter()
                 .copied()
                 .filter(|op| accepts_kinds(*op, kinds))
-                .collect();
-            self.by_signature.insert(kinds.to_vec(), class);
-        }
-        &self.by_signature[kinds]
+                .collect()
+        })
     }
 
     /// The opcode equivalence class of an existing instruction: every
     /// opcode in the universe that accepts the instruction's operands.
     /// The class always contains the instruction's own opcode.
     pub fn class_of(&mut self, instr: &Instruction) -> &[Opcode] {
-        let kinds: Vec<OperandKind> = instr.operands().iter().map(Operand::kind).collect();
-        self.class_for_kinds(&kinds)
+        let mut kinds = [OperandKind::Imm; MAX_OPERANDS];
+        let operands = instr.operands();
+        for (k, opnd) in kinds.iter_mut().zip(operands) {
+            *k = opnd.kind();
+        }
+        self.class_for_kinds(&kinds[..operands.len()])
     }
 }
 

@@ -3,7 +3,7 @@
 //! liveness analysis, the emulator and the symbolic validator.
 
 use crate::opcode::{BitOp, Opcode};
-use crate::operand::{Mem, Operand, OperandKind};
+use crate::operand::{Mem, Operand, OperandKind, MAX_OPERANDS};
 use crate::reg::{Flag, Gpr, Reg, Width, Xmm};
 use std::fmt;
 
@@ -62,30 +62,42 @@ impl std::error::Error for InstrError {}
 /// A single x86-64 instruction: opcode plus operands in AT&T order
 /// (sources first, destination last).
 ///
+/// The operands are stored inline (at most [`MAX_OPERANDS`]), so an
+/// instruction is a small `Copy` value: copying a rewrite, or one of its
+/// instructions, never touches the heap.
+///
 /// ```
 /// use stoke_x86::{Instruction, Opcode, Operand, Reg, Gpr, Width, AluOp};
 /// let add = Instruction::new(
 ///     Opcode::Alu(AluOp::Add, Width::Q),
-///     vec![
+///     [
 ///         Operand::Reg(Reg::new(Gpr::Rdi, Width::Q)),
 ///         Operand::Reg(Reg::new(Gpr::Rax, Width::Q)),
 ///     ],
 /// ).unwrap();
 /// assert_eq!(add.to_string(), "addq rdi, rax");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+// Slots past `len` always hold `FILLER`, so the derived equality and hash
+// agree with comparing opcode and `operands()`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instruction {
     opcode: Opcode,
-    operands: Vec<Operand>,
+    len: u8,
+    operands: [Operand; MAX_OPERANDS],
 }
 
+/// The value of every unused operand slot.
+const FILLER: Operand = Operand::Imm(0);
+
 impl Instruction {
-    /// Construct a validated instruction.
+    /// Construct a validated instruction. `operands` is any slice-like
+    /// container: an array, a slice or a `Vec`.
     ///
     /// # Errors
     /// Returns an [`InstrError`] if the operands do not match the opcode's
     /// signature, or if more than one operand is a memory reference.
-    pub fn new(opcode: Opcode, operands: Vec<Operand>) -> Result<Instruction, InstrError> {
+    pub fn new(opcode: Opcode, operands: impl AsRef<[Operand]>) -> Result<Instruction, InstrError> {
+        let operands = operands.as_ref();
         let sig = opcode.signature();
         if sig.len() != operands.len() {
             return Err(InstrError::WrongArity {
@@ -94,7 +106,7 @@ impl Instruction {
                 found: operands.len(),
             });
         }
-        for (slot, (spec, opnd)) in sig.iter().zip(&operands).enumerate() {
+        for (slot, (spec, opnd)) in sig.iter().zip(operands).enumerate() {
             if !spec.accepts(opnd.kind()) {
                 return Err(InstrError::BadOperand {
                     opcode,
@@ -106,7 +118,7 @@ impl Instruction {
         if operands.iter().filter(|o| o.is_mem()).count() > 1 {
             return Err(InstrError::TwoMemoryOperands { opcode });
         }
-        Ok(Instruction { opcode, operands })
+        Ok(Instruction::pack(opcode, operands))
     }
 
     /// Construct without validation (used by the proposal moves, which
@@ -114,15 +126,35 @@ impl Instruction {
     /// construction).
     ///
     /// # Panics
-    /// Panics in debug builds if the instruction is invalid.
-    pub fn new_unchecked(opcode: Opcode, operands: Vec<Operand>) -> Instruction {
-        debug_assert!(Instruction::new(opcode, operands.clone()).is_ok());
-        Instruction { opcode, operands }
+    /// Panics if there are more than [`MAX_OPERANDS`] operands, and in
+    /// debug builds if the instruction is otherwise invalid.
+    pub fn new_unchecked(opcode: Opcode, operands: impl AsRef<[Operand]>) -> Instruction {
+        let instr = Instruction::pack(opcode, operands.as_ref());
+        instr.debug_assert_valid();
+        instr
+    }
+
+    /// Store `operands` inline behind `opcode`.
+    fn pack(opcode: Opcode, operands: &[Operand]) -> Instruction {
+        let mut inline = [FILLER; MAX_OPERANDS];
+        inline[..operands.len()].copy_from_slice(operands);
+        Instruction {
+            opcode,
+            len: operands.len() as u8,
+            operands: inline,
+        }
+    }
+
+    fn debug_assert_valid(&self) {
+        debug_assert!(
+            Instruction::new(self.opcode, self.operands()).is_ok(),
+            "invalid instruction {self:?}"
+        );
     }
 
     /// A zero-operand instruction.
     pub fn nullary(opcode: Opcode) -> Instruction {
-        Instruction::new(opcode, vec![]).expect("nullary opcode")
+        Instruction::new(opcode, []).expect("nullary opcode")
     }
 
     /// The opcode.
@@ -132,27 +164,46 @@ impl Instruction {
 
     /// The operands, in AT&T order.
     pub fn operands(&self) -> &[Operand] {
-        &self.operands
+        &self.operands[..usize::from(self.len)]
     }
 
     /// Replace the opcode, keeping the operands (caller must ensure the
     /// new opcode accepts them; used by the MCMC opcode move which samples
     /// from the compatible equivalence class).
     pub fn with_opcode(&self, opcode: Opcode) -> Instruction {
-        Instruction::new_unchecked(opcode, self.operands.clone())
+        let instr = Instruction { opcode, ..*self };
+        instr.debug_assert_valid();
+        instr
     }
 
     /// Replace operand `slot`, keeping everything else.
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range, and in debug builds if the
+    /// result is invalid.
     pub fn with_operand(&self, slot: usize, operand: Operand) -> Instruction {
-        let mut operands = self.operands.clone();
-        operands[slot] = operand;
-        Instruction::new_unchecked(self.opcode, operands)
+        let mut instr = *self;
+        instr.operands[..usize::from(self.len)][slot] = operand;
+        instr.debug_assert_valid();
+        instr
+    }
+
+    /// Apply `f` to every operand, keeping the opcode (caller must ensure
+    /// `f` preserves operand kinds, so the result stays valid; used by the
+    /// register renaming and immediate normalization of [`crate::canon`]).
+    pub fn map_operands(&self, mut f: impl FnMut(&Operand) -> Operand) -> Instruction {
+        let mut instr = *self;
+        for opnd in &mut instr.operands[..usize::from(self.len)] {
+            *opnd = f(opnd);
+        }
+        instr.debug_assert_valid();
+        instr
     }
 
     /// The destination operand, if the opcode writes one.
     pub fn dst(&self) -> Option<&Operand> {
         if self.opcode.writes_dst() {
-            self.operands.last()
+            self.operands().last()
         } else {
             None
         }
@@ -160,7 +211,7 @@ impl Instruction {
 
     /// The memory operand, if any (at most one by construction).
     pub fn mem_operand(&self) -> Option<Mem> {
-        self.operands.iter().find_map(|o| o.as_mem())
+        self.operands().iter().find_map(|o| o.as_mem())
     }
 
     /// Whether this instruction reads memory.
@@ -171,10 +222,10 @@ impl Instruction {
         if matches!(self.opcode, Opcode::Pop) {
             return true;
         }
-        let Some(mem_slot) = self.operands.iter().position(|o| o.is_mem()) else {
+        let Some(mem_slot) = self.operands().iter().position(|o| o.is_mem()) else {
             return false;
         };
-        let is_dst_slot = self.opcode.writes_dst() && mem_slot == self.operands.len() - 1;
+        let is_dst_slot = self.opcode.writes_dst() && mem_slot == self.operands().len() - 1;
         !is_dst_slot || self.opcode.dst_is_also_src()
     }
 
@@ -186,7 +237,7 @@ impl Instruction {
         if !self.opcode.writes_dst() {
             return false;
         }
-        self.operands.last().is_some_and(Operand::is_mem)
+        self.operands().last().is_some_and(Operand::is_mem)
     }
 
     /// The memory access width in bytes for loads/stores performed by this
@@ -228,8 +279,8 @@ impl Instruction {
     /// dominate the prepare step.
     pub fn gpr_uses_into(&self, out: &mut Vec<Reg>) {
         let start = out.len();
-        let arity = self.operands.len();
-        for (slot, opnd) in self.operands.iter().enumerate() {
+        let arity = self.operands().len();
+        for (slot, opnd) in self.operands().iter().enumerate() {
             let is_dst_slot = self.opcode.writes_dst() && slot == arity - 1;
             match opnd {
                 Operand::Reg(r) => {
@@ -252,7 +303,7 @@ impl Instruction {
         }
         // xchg reads both of its operands.
         if matches!(self.opcode, Opcode::Xchg(_)) {
-            for opnd in &self.operands {
+            for opnd in self.operands() {
                 if let Operand::Reg(r) = opnd {
                     if !out[start..].contains(r) {
                         out.push(*r);
@@ -266,12 +317,12 @@ impl Instruction {
     pub fn gpr_defs(&self) -> Vec<Reg> {
         let mut defs = Vec::new();
         if self.opcode.writes_dst() {
-            if let Some(Operand::Reg(r)) = self.operands.last() {
+            if let Some(Operand::Reg(r)) = self.operands().last() {
                 defs.push(*r);
             }
         }
         if matches!(self.opcode, Opcode::Xchg(_)) {
-            if let Some(Operand::Reg(r)) = self.operands.first() {
+            if let Some(Operand::Reg(r)) = self.operands().first() {
                 defs.push(*r);
             }
         }
@@ -297,8 +348,8 @@ impl Instruction {
     /// Append this instruction's SSE uses to `out` without allocating (see
     /// [`gpr_uses_into`](Instruction::gpr_uses_into)).
     pub fn xmm_uses_into(&self, out: &mut Vec<Xmm>) {
-        let arity = self.operands.len();
-        for (slot, opnd) in self.operands.iter().enumerate() {
+        let arity = self.operands().len();
+        for (slot, opnd) in self.operands().iter().enumerate() {
             if let Operand::Xmm(x) = opnd {
                 let is_dst_slot = self.opcode.writes_dst() && slot == arity - 1;
                 if !is_dst_slot || self.opcode.dst_is_also_src() {
@@ -313,7 +364,7 @@ impl Instruction {
         if !self.opcode.writes_dst() {
             return vec![];
         }
-        match self.operands.last() {
+        match self.operands().last() {
             Some(Operand::Xmm(x)) => vec![*x],
             _ => vec![],
         }
@@ -344,10 +395,20 @@ impl Instruction {
     }
 }
 
+// By hand, to print only the used operand slots.
+impl fmt::Debug for Instruction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Instruction")
+            .field("opcode", &self.opcode)
+            .field("operands", &self.operands())
+            .finish()
+    }
+}
+
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.opcode.name())?;
-        for (i, opnd) in self.operands.iter().enumerate() {
+        for (i, opnd) in self.operands().iter().enumerate() {
             if i == 0 {
                 write!(f, " ")?;
             } else {
@@ -367,7 +428,7 @@ pub mod build {
 
     /// `mov{w} src, dst`
     pub fn mov(w: Width, src: impl Into<Operand>, dst: impl Into<Operand>) -> Instruction {
-        Instruction::new(Opcode::Mov(w), vec![src.into(), dst.into()]).unwrap()
+        Instruction::new(Opcode::Mov(w), [src.into(), dst.into()]).unwrap()
     }
 
     /// `movq src, dst`
@@ -387,7 +448,7 @@ pub mod build {
         src: impl Into<Operand>,
         dst: impl Into<Operand>,
     ) -> Instruction {
-        Instruction::new(Opcode::Alu(op, w), vec![src.into(), dst.into()]).unwrap()
+        Instruction::new(Opcode::Alu(op, w), [src.into(), dst.into()]).unwrap()
     }
 
     /// `addq src, dst`
@@ -422,27 +483,27 @@ pub mod build {
         count: impl Into<Operand>,
         dst: impl Into<Operand>,
     ) -> Instruction {
-        Instruction::new(Opcode::Shift(op, w), vec![count.into(), dst.into()]).unwrap()
+        Instruction::new(Opcode::Shift(op, w), [count.into(), dst.into()]).unwrap()
     }
 
     /// A one-operand ALU instruction.
     pub fn unary(op: UnOp, w: Width, dst: impl Into<Operand>) -> Instruction {
-        Instruction::new(Opcode::Un(op, w), vec![dst.into()]).unwrap()
+        Instruction::new(Opcode::Un(op, w), [dst.into()]).unwrap()
     }
 
     /// `cmp{w} src, dst`
     pub fn cmp(w: Width, src: impl Into<Operand>, dst: impl Into<Operand>) -> Instruction {
-        Instruction::new(Opcode::Cmp(w), vec![src.into(), dst.into()]).unwrap()
+        Instruction::new(Opcode::Cmp(w), [src.into(), dst.into()]).unwrap()
     }
 
     /// `test{w} src, dst`
     pub fn test(w: Width, src: impl Into<Operand>, dst: impl Into<Operand>) -> Instruction {
-        Instruction::new(Opcode::Test(w), vec![src.into(), dst.into()]).unwrap()
+        Instruction::new(Opcode::Test(w), [src.into(), dst.into()]).unwrap()
     }
 
     /// `set{cc} dst`
     pub fn setcc(c: Cond, dst: impl Into<Operand>) -> Instruction {
-        Instruction::new(Opcode::Set(c), vec![dst.into()]).unwrap()
+        Instruction::new(Opcode::Set(c), [dst.into()]).unwrap()
     }
 
     /// `cmov{cc}{w} src, dst`
@@ -452,22 +513,22 @@ pub mod build {
         src: impl Into<Operand>,
         dst: impl Into<Operand>,
     ) -> Instruction {
-        Instruction::new(Opcode::Cmov(c, w), vec![src.into(), dst.into()]).unwrap()
+        Instruction::new(Opcode::Cmov(c, w), [src.into(), dst.into()]).unwrap()
     }
 
     /// `imul{w} src, dst` (two operand form)
     pub fn imul2(w: Width, src: impl Into<Operand>, dst: impl Into<Operand>) -> Instruction {
-        Instruction::new(Opcode::Imul2(w), vec![src.into(), dst.into()]).unwrap()
+        Instruction::new(Opcode::Imul2(w), [src.into(), dst.into()]).unwrap()
     }
 
     /// `mulq src` (widening unsigned multiply)
     pub fn mulq(src: impl Into<Operand>) -> Instruction {
-        Instruction::new(Opcode::Mul1(Width::Q), vec![src.into()]).unwrap()
+        Instruction::new(Opcode::Mul1(Width::Q), [src.into()]).unwrap()
     }
 
     /// `leaq mem, dst`
     pub fn leaq(mem: Mem, dst: impl Into<Operand>) -> Instruction {
-        Instruction::new(Opcode::Lea(Width::Q), vec![Operand::Mem(mem), dst.into()]).unwrap()
+        Instruction::new(Opcode::Lea(Width::Q), [Operand::Mem(mem), dst.into()]).unwrap()
     }
 
     /// `bits op src, dst` (popcnt / bsf / bsr)
@@ -477,7 +538,7 @@ pub mod build {
         src: impl Into<Operand>,
         dst: impl Into<Operand>,
     ) -> Instruction {
-        Instruction::new(Opcode::Bits(op, w), vec![src.into(), dst.into()]).unwrap()
+        Instruction::new(Opcode::Bits(op, w), [src.into(), dst.into()]).unwrap()
     }
 }
 
@@ -512,6 +573,32 @@ mod tests {
         let m = Operand::Mem(Mem::base(Gpr::Rdi));
         let err = Instruction::new(Opcode::Mov(Width::Q), vec![m, m]);
         assert!(matches!(err, Err(InstrError::TwoMemoryOperands { .. })));
+    }
+
+    #[test]
+    fn inline_operands_compare_hash_and_print_like_a_slice() {
+        use std::collections::HashSet;
+        let add = addq(r(Gpr::Rdi, Width::Q), r(Gpr::Rax, Width::Q));
+        // A round trip through another operand restores an equal value.
+        let back = add
+            .with_operand(0, Operand::Imm(5))
+            .with_operand(0, r(Gpr::Rdi, Width::Q));
+        assert_eq!(back, add);
+        let set: HashSet<Instruction> = [add, back].into_iter().collect();
+        assert_eq!(set.len(), 1);
+        assert_eq!(
+            format!("{add:?}"),
+            format!(
+                "Instruction {{ opcode: {:?}, operands: {:?} }}",
+                add.opcode(),
+                add.operands()
+            )
+        );
+        let renamed = add.map_operands(|op| match op {
+            Operand::Reg(reg) if reg.parent() == Gpr::Rdi => r(Gpr::Rsi, Width::Q),
+            other => *other,
+        });
+        assert_eq!(renamed.to_string(), "addq rsi, rax");
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use canon::{canonical_renaming, canonicalize, normalize_immediates, Renaming
 pub use classes::OpcodeClasses;
 pub use instr::{build, InstrError, Instruction};
 pub use opcode::{AluOp, BitOp, Cond, Opcode, ShiftOp, SseBinOp, SseMov128, SseShiftOp, UnOp};
-pub use operand::{Mem, Operand, OperandKind, Scale, SlotSpec};
+pub use operand::{Mem, Operand, OperandKind, Scale, Signature, SlotSpec, MAX_OPERANDS};
 pub use parse::{parse_instruction, parse_program, ParseError};
 pub use program::Program;
 pub use reg::{Flag, Gpr, Reg, Width, Xmm};

@@ -13,7 +13,7 @@
 //! definitions, condition-flag effects, and an average latency used by the
 //! `perf(·)` term of the cost function.
 
-use crate::operand::SlotSpec;
+use crate::operand::{Signature, SlotSpec};
 use crate::reg::{Flag, Gpr, Width};
 use std::fmt;
 
@@ -524,53 +524,72 @@ impl Opcode {
     }
 
     /// Operand slot specifications, in AT&T order (sources before the
-    /// destination). An empty slice means the opcode takes no operands.
-    pub fn signature(&self) -> Vec<SlotSpec> {
+    /// destination), built inline without allocating. An empty signature
+    /// means the opcode takes no operands.
+    pub fn signature(&self) -> Signature {
         use Width::{B, L, Q};
         match *self {
-            Opcode::Mov(w) => vec![SlotSpec::reg_imm_mem(w), SlotSpec::reg_mem(w)],
-            Opcode::Movabs => vec![SlotSpec::imm(), SlotSpec::reg(Q)],
-            Opcode::Movslq => vec![SlotSpec::reg_mem(L), SlotSpec::reg(Q)],
-            Opcode::Movsbq | Opcode::Movzbq => vec![SlotSpec::reg_mem(B), SlotSpec::reg(Q)],
-            Opcode::Movsbl | Opcode::Movzbl => vec![SlotSpec::reg_mem(B), SlotSpec::reg(L)],
-            Opcode::Lea(w) => vec![SlotSpec::mem(), SlotSpec::reg(w)],
-            Opcode::Xchg(w) => vec![SlotSpec::reg(w), SlotSpec::reg(w)],
-            Opcode::Push => vec![SlotSpec::reg(Q)],
-            Opcode::Pop => vec![SlotSpec::reg(Q)],
-            Opcode::Cmov(_, w) => vec![SlotSpec::reg_mem(w), SlotSpec::reg(w)],
-            Opcode::Set(_) => vec![SlotSpec::reg_mem(B)],
-            Opcode::Alu(_, w) | Opcode::Cmp(w) | Opcode::Test(w) => {
-                vec![SlotSpec::reg_imm_mem(w), SlotSpec::reg_mem(w)]
+            Opcode::Mov(w) => Signature::new(&[SlotSpec::reg_imm_mem(w), SlotSpec::reg_mem(w)]),
+            Opcode::Movabs => Signature::new(&[SlotSpec::imm(), SlotSpec::reg(Q)]),
+            Opcode::Movslq => Signature::new(&[SlotSpec::reg_mem(L), SlotSpec::reg(Q)]),
+            Opcode::Movsbq | Opcode::Movzbq => {
+                Signature::new(&[SlotSpec::reg_mem(B), SlotSpec::reg(Q)])
             }
-            Opcode::Un(_, w) => vec![SlotSpec::reg_mem(w)],
+            Opcode::Movsbl | Opcode::Movzbl => {
+                Signature::new(&[SlotSpec::reg_mem(B), SlotSpec::reg(L)])
+            }
+            Opcode::Lea(w) => Signature::new(&[SlotSpec::mem(), SlotSpec::reg(w)]),
+            Opcode::Xchg(w) => Signature::new(&[SlotSpec::reg(w), SlotSpec::reg(w)]),
+            Opcode::Push => Signature::new(&[SlotSpec::reg(Q)]),
+            Opcode::Pop => Signature::new(&[SlotSpec::reg(Q)]),
+            Opcode::Cmov(_, w) => Signature::new(&[SlotSpec::reg_mem(w), SlotSpec::reg(w)]),
+            Opcode::Set(_) => Signature::new(&[SlotSpec::reg_mem(B)]),
+            Opcode::Alu(_, w) | Opcode::Cmp(w) | Opcode::Test(w) => {
+                Signature::new(&[SlotSpec::reg_imm_mem(w), SlotSpec::reg_mem(w)])
+            }
+            Opcode::Un(_, w) => Signature::new(&[SlotSpec::reg_mem(w)]),
             // `imul imm, reg` is accepted as shorthand for the three-operand
             // immediate form with source == destination.
-            Opcode::Imul2(w) => vec![SlotSpec::reg_imm_mem(w), SlotSpec::reg(w)],
+            Opcode::Imul2(w) => Signature::new(&[SlotSpec::reg_imm_mem(w), SlotSpec::reg(w)]),
             Opcode::Imul1(w) | Opcode::Mul1(w) | Opcode::Div(w) | Opcode::Idiv(w) => {
-                vec![SlotSpec::reg_mem(w)]
+                Signature::new(&[SlotSpec::reg_mem(w)])
             }
-            Opcode::Shift(_, w) => vec![SlotSpec::reg_imm(B), SlotSpec::reg_mem(w)],
-            Opcode::Bits(BitOp::Bswap, w) => vec![SlotSpec::reg(w)],
-            Opcode::Bits(_, w) => vec![SlotSpec::reg_mem(w), SlotSpec::reg(w)],
-            Opcode::Cqto | Opcode::Cltq | Opcode::Cltd | Opcode::Nop => vec![],
-            Opcode::MovdToXmm => vec![SlotSpec::reg(L), SlotSpec::xmm()],
-            Opcode::MovdFromXmm => vec![SlotSpec::xmm(), SlotSpec::reg(L)],
-            Opcode::MovqToXmm => vec![SlotSpec::reg(Q), SlotSpec::xmm()],
-            Opcode::MovqFromXmm => vec![SlotSpec::xmm(), SlotSpec::reg(Q)],
-            Opcode::Mov128(_) => vec![SlotSpec::xmm_mem(), SlotSpec::xmm_mem()],
+            Opcode::Shift(_, w) => Signature::new(&[SlotSpec::reg_imm(B), SlotSpec::reg_mem(w)]),
+            Opcode::Bits(BitOp::Bswap, w) => Signature::new(&[SlotSpec::reg(w)]),
+            Opcode::Bits(_, w) => Signature::new(&[SlotSpec::reg_mem(w), SlotSpec::reg(w)]),
+            Opcode::Cqto | Opcode::Cltq | Opcode::Cltd | Opcode::Nop => Signature::new(&[]),
+            Opcode::MovdToXmm => Signature::new(&[SlotSpec::reg(L), SlotSpec::xmm()]),
+            Opcode::MovdFromXmm => Signature::new(&[SlotSpec::xmm(), SlotSpec::reg(L)]),
+            Opcode::MovqToXmm => Signature::new(&[SlotSpec::reg(Q), SlotSpec::xmm()]),
+            Opcode::MovqFromXmm => Signature::new(&[SlotSpec::xmm(), SlotSpec::reg(Q)]),
+            Opcode::Mov128(_) => Signature::new(&[SlotSpec::xmm_mem(), SlotSpec::xmm_mem()]),
             Opcode::SseBin(_) | Opcode::Punpckldq | Opcode::Punpcklqdq => {
-                vec![SlotSpec::xmm_mem(), SlotSpec::xmm()]
+                Signature::new(&[SlotSpec::xmm_mem(), SlotSpec::xmm()])
             }
-            Opcode::SseShift(_) => vec![SlotSpec::imm(), SlotSpec::xmm()],
+            Opcode::SseShift(_) => Signature::new(&[SlotSpec::imm(), SlotSpec::xmm()]),
             Opcode::Pshufd | Opcode::Shufps => {
-                vec![SlotSpec::imm(), SlotSpec::xmm_mem(), SlotSpec::xmm()]
+                Signature::new(&[SlotSpec::imm(), SlotSpec::xmm_mem(), SlotSpec::xmm()])
             }
         }
     }
 
-    /// Number of operands the opcode takes.
+    /// Number of operands the opcode takes (the length of its
+    /// [`signature`](Opcode::signature)).
     pub fn arity(&self) -> usize {
-        self.signature().len()
+        match self {
+            Opcode::Cqto | Opcode::Cltq | Opcode::Cltd | Opcode::Nop => 0,
+            Opcode::Push
+            | Opcode::Pop
+            | Opcode::Set(_)
+            | Opcode::Un(_, _)
+            | Opcode::Imul1(_)
+            | Opcode::Mul1(_)
+            | Opcode::Div(_)
+            | Opcode::Idiv(_)
+            | Opcode::Bits(BitOp::Bswap, _) => 1,
+            Opcode::Pshufd | Opcode::Shufps => 3,
+            _ => 2,
+        }
     }
 
     /// Implicit general purpose registers read by the opcode (beyond its
@@ -655,7 +674,7 @@ impl Opcode {
                 | Opcode::Mul1(_)
                 | Opcode::Div(_)
                 | Opcode::Idiv(_)
-        ) && self.arity() > 0
+        )
     }
 
     /// Whether the destination operand is also read (read-modify-write).
@@ -790,26 +809,44 @@ impl Opcode {
         }
     }
 
-    /// Whether this opcode may read memory through an explicit memory
-    /// operand. `lea` computes an address without dereferencing it and is
-    /// therefore excluded.
+    /// Whether this opcode may read memory: through a source slot that
+    /// accepts a memory operand, through a read-modify-write memory
+    /// destination, or implicitly (`pop`). `lea` computes an address
+    /// without dereferencing it and is therefore excluded.
     pub fn may_load(&self) -> bool {
-        if matches!(self, Opcode::Lea(_)) {
-            return false;
-        }
-        self.signature()
-            .iter()
-            .take(self.arity().saturating_sub(usize::from(self.writes_dst())))
-            .any(|s| s.mem)
-            || (self.dst_is_also_src() && self.signature().last().is_some_and(|s| s.mem))
-            || matches!(self, Opcode::Pop)
+        !matches!(
+            self,
+            Opcode::Movabs
+                | Opcode::Lea(_)
+                | Opcode::Xchg(_)
+                | Opcode::Push
+                | Opcode::Set(_)
+                | Opcode::Bits(BitOp::Bswap, _)
+                | Opcode::Cqto
+                | Opcode::Cltq
+                | Opcode::Cltd
+                | Opcode::Nop
+                | Opcode::MovdToXmm
+                | Opcode::MovdFromXmm
+                | Opcode::MovqToXmm
+                | Opcode::MovqFromXmm
+                | Opcode::SseShift(_)
+        )
     }
 
-    /// Whether this opcode may write memory through its destination
-    /// operand.
+    /// Whether this opcode may write memory: through a destination slot
+    /// that accepts a memory operand, or implicitly (`push`).
     pub fn may_store(&self) -> bool {
-        (self.writes_dst() && self.signature().last().is_some_and(|s| s.mem))
-            || matches!(self, Opcode::Push)
+        matches!(
+            self,
+            Opcode::Mov(_)
+                | Opcode::Push
+                | Opcode::Set(_)
+                | Opcode::Alu(_, _)
+                | Opcode::Un(_, _)
+                | Opcode::Shift(_, _)
+                | Opcode::Mov128(_)
+        )
     }
 }
 
@@ -883,6 +920,39 @@ mod tests {
             if op.writes_dst() {
                 assert!(!sig.is_empty(), "{} writes dst but has no operands", op);
             }
+        }
+    }
+
+    /// The metadata tables agree with their definitions in terms of the
+    /// operand signature, for every opcode.
+    #[test]
+    fn metadata_tables_match_signature_definitions() {
+        for op in Opcode::all() {
+            let sig = op.signature();
+            assert_eq!(op.arity(), sig.len(), "arity of {op:?}");
+            // Only the flag-setting, implicit-destination and nullary
+            // opcodes leave their last operand unwritten.
+            let implicit_dst = matches!(
+                op,
+                Opcode::Cmp(_)
+                    | Opcode::Test(_)
+                    | Opcode::Push
+                    | Opcode::Imul1(_)
+                    | Opcode::Mul1(_)
+                    | Opcode::Div(_)
+                    | Opcode::Idiv(_)
+            );
+            let writes_dst = !implicit_dst && !sig.is_empty();
+            assert_eq!(op.writes_dst(), writes_dst, "writes_dst of {op:?}");
+            let sources = &sig[..sig.len() - usize::from(writes_dst)];
+            let may_load = !matches!(op, Opcode::Lea(_))
+                && (sources.iter().any(|s| s.mem)
+                    || (op.dst_is_also_src() && sig.last().is_some_and(|s| s.mem))
+                    || matches!(op, Opcode::Pop));
+            assert_eq!(op.may_load(), may_load, "may_load of {op:?}");
+            let may_store =
+                (writes_dst && sig.last().is_some_and(|s| s.mem)) || matches!(op, Opcode::Push);
+            assert_eq!(op.may_store(), may_store, "may_store of {op:?}");
         }
     }
 

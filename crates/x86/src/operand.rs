@@ -4,6 +4,11 @@
 
 use crate::reg::{Gpr, Reg, Width, Xmm};
 use std::fmt;
+use std::ops::Deref;
+
+/// The most operands any modelled opcode takes (`pshufd imm, xmm/m128,
+/// xmm`). Instructions and signatures store this many slots inline.
+pub const MAX_OPERANDS: usize = 3;
 
 /// Memory address scale factor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -336,6 +341,43 @@ impl SlotSpec {
             OperandKind::Mem => self.mem,
             OperandKind::Xmm => self.xmm,
         }
+    }
+}
+
+/// An opcode's operand-slot specifications, in AT&T order (sources
+/// before the destination), stored inline: [`Opcode::signature`] builds
+/// one without allocating. Dereferences to `[SlotSpec]`.
+///
+/// [`Opcode::signature`]: crate::Opcode::signature
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Signature {
+    slots: [SlotSpec; MAX_OPERANDS],
+    len: u8,
+}
+
+impl Signature {
+    /// A signature of the given slots (at most [`MAX_OPERANDS`]).
+    pub(crate) fn new(slots: &[SlotSpec]) -> Signature {
+        let mut inline = [SlotSpec::imm(); MAX_OPERANDS];
+        inline[..slots.len()].copy_from_slice(slots);
+        Signature {
+            slots: inline,
+            len: slots.len() as u8,
+        }
+    }
+}
+
+impl Deref for Signature {
+    type Target = [SlotSpec];
+
+    fn deref(&self) -> &[SlotSpec] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for Signature {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
